@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race bench bench-hotpath bench-serve bench-gate chaos doc-lint trace-verify ci examples tools figures attack loc clean
+.PHONY: all build test vet race bench bench-hotpath bench-serve bench-gate chaos doc-lint trace-verify fuzz ci examples tools figures attack loc clean
 
 all: build vet test race
 
@@ -76,14 +76,23 @@ doc-lint:
 # (node crashes, net-partitions, slow links over the fabric), plus an
 # attestation soak (ticket storms and stale-measurement revocations against
 # the admission gate), plus a migration soak (planned migrations interrupted
-# mid-checkpoint, forced autoscaler oscillations, drain races), every report
-# replay-verified byte-for-byte. The full soak is `go run ./cmd/cronus-chaos`.
+# mid-checkpoint, forced autoscaler oscillations, drain races), plus a 4-node
+# rehome soak (crash victims re-hashed onto nodes where their replicas are
+# still cold), every report replay-verified byte-for-byte. The full soak is
+# `go run ./cmd/cronus-chaos`.
 chaos:
 	$(GO) run ./cmd/cronus-chaos -seeds 3 -verify
 	$(GO) run ./cmd/cronus-chaos -seeds 2 -kinds persistent-hang,crash-loop -faults 2 -verify
 	$(GO) run ./cmd/cronus-chaos -nodes 2 -partitions 4 -tenants 4 -seeds 3 -verify
 	$(GO) run ./cmd/cronus-chaos -nodes 2 -partitions 4 -tenants 4 -kinds attest-storm,stale-measurement -seeds 3 -verify
 	$(GO) run ./cmd/cronus-chaos -nodes 2 -partitions 4 -tenants 4 -kinds migrate-interrupt,scale-storm,drain-race -seeds 3 -verify
+	$(GO) run ./cmd/cronus-chaos -nodes 4 -partitions 8 -tenants 8 -kinds node-crash -seeds 2 -verify
+
+# Bounded fuzz smoke: the session-ticket cache against its map oracle for
+# five seconds, on top of the committed seed corpus that `go test` always
+# replays (internal/attest/testdata/fuzz).
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzTicketResume -fuzztime 5s ./internal/attest
 
 # Causal-tracing guards: the export-determinism and attribution-conservation
 # tests, plus the zero-alloc disabled-path benchmarks (their assertions run
@@ -96,7 +105,7 @@ trace-verify:
 # Exactly what .github/workflows/ci.yml runs: build, vet, the full test
 # suite, the race detector over the concurrency-heavy packages, the
 # documentation bar, the causal-tracing guards, the replay-verified chaos
-# soaks, and the serving-plane host-time regression gate.
+# soaks, the fuzz smoke, and the serving-plane host-time regression gate.
 ci:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -109,6 +118,8 @@ ci:
 	$(GO) run ./cmd/cronus-chaos -nodes 2 -partitions 4 -tenants 4 -seeds 3 -verify
 	$(GO) run ./cmd/cronus-chaos -nodes 2 -partitions 4 -tenants 4 -kinds attest-storm,stale-measurement -seeds 3 -verify
 	$(GO) run ./cmd/cronus-chaos -nodes 2 -partitions 4 -tenants 4 -kinds migrate-interrupt,scale-storm,drain-race -seeds 3 -verify
+	$(GO) run ./cmd/cronus-chaos -nodes 4 -partitions 8 -tenants 8 -kinds node-crash -seeds 2 -verify
+	$(MAKE) fuzz
 	$(MAKE) bench-gate BENCH_THRESHOLD=1.0
 
 # Pretty-printed tables for all experiments.

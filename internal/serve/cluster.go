@@ -314,6 +314,73 @@ func (srv *Server) clRehome(now sim.Time, t *tenant, why string) bool {
 	t.rehomed = true
 	cl.events = append(cl.events, fmt.Sprintf("tenant %s rehomed n%d -> n%d (%s) at %s",
 		t.spec.Name, old, home, why, sim.Duration(now)))
+	srv.clMaterialise(t, home)
 	srv.shFlushBacklog(now, t)
 	return true
+}
+
+// clMaterialise opens tenant t's session and replicas on node n the first
+// time the tenant needs the node: a rehome onto it, or a migration restoring
+// the tenant's state there. NewCluster opens the home node only, so every
+// other node's replicas are cold structs until this runs. One proc opens the
+// session, then one proc per replica opens its enclave concurrently, so the
+// attest and ring costs land in virtual time on this tenant's path alone.
+// While the replicas connect, pick skips them and the tenant's batches park
+// in its backlog; each replica re-drives the backlog as it goes live. A
+// no-op when the node is live or already opening. Runs sequentialized (every
+// caller is a fault, rehome or migration path).
+func (srv *Server) clMaterialise(t *tenant, n int) {
+	cl := srv.cl
+	reps := t.reps[n*cl.ppn : (n+1)*cl.ppn]
+	if reps[0].life != repCold {
+		return
+	}
+	for _, rep := range reps {
+		rep.life = repConnecting
+	}
+	srv.pl.K.Spawn(fmt.Sprintf("serve-open-%s-n%d", t.spec.Name, n), func(p *sim.Proc) {
+		sess, err := srv.plats[n].NewSession(p, t.spec.Name)
+		if err != nil {
+			// No session, no enclaves: the node cannot host the tenant.
+			for _, rep := range reps {
+				srv.shQuarantined(p, rep)
+			}
+			return
+		}
+		t.sessions[n] = sess
+		pending := len(reps)
+		for _, rep := range reps {
+			rep := rep
+			p.Spawn(fmt.Sprintf("serve-open-%s-n%d-p%d", t.spec.Name, n, rep.partIdx), func(q *sim.Proc) {
+				srv.clOpen(q, rep)
+				if pending--; pending == 0 && cl.alive[n] {
+					cl.events = append(cl.events, fmt.Sprintf("tenant %s replicas on n%d opened at %s",
+						t.spec.Name, n, sim.Duration(q.Now())))
+				}
+			})
+		}
+	})
+}
+
+// clOpen is one replica's materialisation proc: wait out any restart of its
+// partition, open the enclave, go live and re-drive the tenant's backlog. An
+// open that fails, or that a failure record overtook (replicaFailed marks a
+// connecting replica down without spawning a recovery of its own), takes the
+// ordinary recovery path instead. A node that crashed mid-open stays retired.
+func (srv *Server) clOpen(p *sim.Proc, rep *replica) {
+	part := rep.plat().GPUs[rep.partIdx].Part
+	err := rep.plat().SPM.AwaitReady(p, part)
+	if err == nil {
+		err = rep.connect(p)
+	}
+	rep.life = repLive
+	switch {
+	case !srv.cl.alive[rep.node]:
+		// The node crashed mid-open: its replicas stay retired.
+	case err != nil || rep.down:
+		rep.down = true
+		srv.shRecover(p, rep)
+	default:
+		srv.shFlushBacklog(p.Now(), rep.t)
+	}
 }

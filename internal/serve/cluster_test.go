@@ -2,9 +2,13 @@ package serve_test
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"cronus/internal/cluster"
+	"cronus/internal/core"
+	"cronus/internal/elastic"
+	"cronus/internal/gpu"
 	"cronus/internal/serve"
 	"cronus/internal/sim"
 	"cronus/internal/tvm"
@@ -127,21 +131,148 @@ func TestClusterDeterminism(t *testing.T) {
 	}
 }
 
-// TestClusterNodeCrash kills node 1 mid-window under a saturating load: every
-// tenant homed there must re-hash to node 0 and drain exactly once through
-// the completion accounting (in-flight batches replayed, zero duplicates,
-// zero split brain), and the crash must land in the node event log.
-func TestClusterNodeCrash(t *testing.T) {
-	cfg := clusterConfig()
-	cfg.GPUFlopsPerNs = 100 // slow devices keep lanes saturated at the crash
-	cfg.NodeFaults = []cluster.Fault{
-		{Kind: cluster.NodeCrash, Node: 1, At: 1500 * sim.Microsecond},
-	}
-	res, err := serve.Run(cfg)
+// clusterBoot boots cfg.Nodes node platforms sized for cfg, builds the
+// serving plane over them, and hands both to body inside the simulation —
+// serve.Run's cluster path with the setup exposed to the test.
+func clusterBoot(t *testing.T, cfg serve.Config, body func(p *sim.Proc, plats []*core.Platform, srv *serve.Server)) {
+	t.Helper()
+	pcfg := core.DefaultConfig()
+	pcfg.GPUs = cfg.GPUPartitions / cfg.Nodes
+	pcfg.NPUs = 0
+	pcfg.MPS = true
+	var bodyErr error
+	k := sim.NewKernel()
+	k.Spawn("main", func(p *sim.Proc) {
+		defer k.Stop()
+		plats, err := cluster.BootNodes(p, cfg.Nodes, pcfg)
+		if err != nil {
+			bodyErr = err
+			return
+		}
+		srv, err := serve.NewCluster(p, plats, cfg)
+		if err != nil {
+			bodyErr = err
+			return
+		}
+		body(p, plats, srv)
+	})
+	err := k.Run()
+	k.Shutdown()
 	if err != nil {
 		t.Fatal(err)
 	}
+	if bodyErr != nil {
+		t.Fatal(bodyErr)
+	}
+}
+
+// liveEnclaves counts the live session (CPU) and CUDA (GPU partition)
+// mEnclaves across every node.
+func liveEnclaves(plats []*core.Platform) (sessions, cuda int) {
+	for _, pl := range plats {
+		sessions += len(pl.CPUOS.EM.Measurements())
+		for _, g := range pl.GPUs {
+			cuda += len(g.OS.EM.Measurements())
+		}
+	}
+	return sessions, cuda
+}
+
+// TestClusterSetupHomeOnly pins setup proportional to use: NewCluster opens
+// one session and one replica per home-node partition for each tenant, and
+// nothing on the other nodes, so doubling the node count at a fixed tenant
+// count and partitions per node opens exactly as much as before.
+func TestClusterSetupHomeOnly(t *testing.T) {
+	const tenants, ppn = 4, 2
+	for _, nodes := range []int{2, 4} {
+		cfg := clusterConfig()
+		cfg.Nodes = nodes
+		cfg.GPUPartitions = ppn * nodes
+		cfg.Shards = ppn * nodes
+		clusterBoot(t, cfg, func(p *sim.Proc, plats []*core.Platform, srv *serve.Server) {
+			sessions, cuda := liveEnclaves(plats)
+			if sessions != tenants || cuda != tenants*ppn {
+				t.Errorf("%d nodes: setup opened %d sessions and %d CUDA mEnclaves, want %d and %d",
+					nodes, sessions, cuda, tenants, tenants*ppn)
+			}
+		})
+	}
+}
+
+// openCost measures, on a freshly booted node, the virtual time one tenant
+// session plus one serving replica enclave (lanes, zero-copy arena and
+// staging buffers as the cluster plane opens them) take to open: the least
+// a tenant rehomed onto a cold node waits before its first dispatch there.
+func openCost(t *testing.T, cfg serve.Config) sim.Duration {
+	t.Helper()
+	var cost sim.Duration
+	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
+		start := p.Now()
+		sess, err := pl.NewSession(p, "probe")
+		if err != nil {
+			return err
+		}
+		inCap := 1024 * cfg.MaxBatch
+		conn, err := sess.OpenCUDA(p, core.CUDAOptions{
+			Cubin: gpu.BuildCubin("serve_infer"), Partition: "gpu-part0", Name: "probe/r0.1",
+			Rings: 2, ZCPayload: inCap,
+		})
+		if err != nil {
+			return err
+		}
+		if _, err := conn.MemAlloc(p, 4); err != nil {
+			return err
+		}
+		if _, err := conn.MemAlloc(p, uint64(inCap)); err != nil {
+			return err
+		}
+		cost = sim.Duration(p.Now() - start)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cost
+}
+
+// TestClusterNodeCrash kills node 1 mid-window under a saturating load: every
+// tenant homed there must re-hash to node 0 and drain exactly once through
+// the completion accounting (in-flight batches replayed, zero duplicates,
+// zero split brain), and the crash must land in the node event log. Node 0
+// was cold for the victims, so nothing of theirs may complete there before
+// the crash instant plus the cost of opening a session and a replica.
+func TestClusterNodeCrash(t *testing.T) {
+	cfg := clusterConfig()
+	cfg.GPUFlopsPerNs = 100 // slow devices keep lanes saturated at the crash
+	crashAt := 1500 * sim.Microsecond
+	cfg.NodeFaults = []cluster.Fault{
+		{Kind: cluster.NodeCrash, Node: 1, At: crashAt},
+	}
+	var (
+		res   *serve.Result
+		crash sim.Time
+	)
+	clusterBoot(t, cfg, func(p *sim.Proc, _ []*core.Platform, srv *serve.Server) {
+		crash = p.Now() + sim.Time(crashAt)
+		var err error
+		if res, err = srv.Serve(p); err != nil {
+			t.Error(err)
+		}
+	})
+	if res == nil {
+		t.FailNow()
+	}
 	clusterTotals(t, res)
+	open := openCost(t, cfg)
+	if open <= 0 {
+		t.Fatalf("opening a session and a replica cost %s of virtual time", open)
+	}
+	first := map[string]sim.Time{}
+	for _, r := range res.Requests {
+		if r.Err == nil && r.Done > crash && (first[r.Tenant] == 0 || r.Done < first[r.Tenant]) {
+			first[r.Tenant] = r.Done
+		}
+	}
 	victims, replays := 0, uint64(0)
 	for _, tr := range res.Tenants {
 		if tr.Home == 1 {
@@ -152,6 +283,10 @@ func TestClusterNodeCrash(t *testing.T) {
 			replays += tr.Replayed
 			if tr.Completed == 0 {
 				t.Errorf("victim tenant %s completed nothing on the survivor", tr.Name)
+			}
+			if f := first[tr.Name]; f <= crash+sim.Time(open) {
+				t.Errorf("victim tenant %s first completed on its new home %s after the crash, within the %s open cost",
+					tr.Name, sim.Duration(f-crash), open)
 			}
 		} else if tr.Rehomed {
 			t.Errorf("survivor tenant %s rehomed", tr.Name)
@@ -165,6 +300,61 @@ func TestClusterNodeCrash(t *testing.T) {
 	}
 	if len(res.NodeEvents) == 0 {
 		t.Error("node crash left no node events")
+	}
+}
+
+// TestClusterFleetMigration runs a fleet-shaped plane — four nodes, sixteen
+// attested tenants, a planned same-node migration and a later node crash —
+// and checks the migration still completes while most tenants' replicas on
+// the source node are cold, and that the crash victims rehome onto cold
+// nodes with nothing lost, duplicated or shed.
+func TestClusterFleetMigration(t *testing.T) {
+	window := 20 * sim.Millisecond
+	cfg := serve.Config{
+		Seed:            3,
+		Window:          window,
+		Policy:          serve.DeviceAffinity,
+		MaxBatch:        4,
+		BatchWindow:     40 * sim.Microsecond,
+		GPUPartitions:   16,
+		GPUFlopsPerNs:   400,
+		Shards:          16,
+		Nodes:           4,
+		AttestTickets:   true,
+		AttestTicketTTL: 2 * sim.Millisecond,
+		NodeFaults:      []cluster.Fault{{Kind: cluster.NodeCrash, Node: 1, At: window / 2}},
+		Migrations: []serve.Migration{
+			{At: window / 4, From: elastic.Endpoint{Node: 2, Part: 1}, To: elastic.Endpoint{Node: 2, Part: 0}},
+		},
+	}
+	for ti := 0; ti < 16; ti++ {
+		cfg.Tenants = append(cfg.Tenants, serve.TenantSpec{
+			Name: fmt.Sprintf("fleet%02d", ti), Arrival: serve.Poisson, Rate: 40000, QueueCap: 256,
+			Mix: []serve.WorkClass{
+				{Name: "resnet18", Weight: 2, Graph: tvm.ResNet18()},
+				{Name: "resnet50", Weight: 1, Graph: tvm.ResNet50()},
+			},
+		})
+	}
+	res, err := serve.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clusterTotals(t, res)
+	if res.Elastic == nil || res.Elastic.Migrations != 1 {
+		t.Fatalf("fleet migration did not complete:\n%s", res.Report())
+	}
+	rehomed := 0
+	for _, tr := range res.Tenants {
+		if tr.Rehomed {
+			rehomed++
+		}
+		if tr.Shed != 0 || tr.Failed != 0 {
+			t.Errorf("tenant %s shed %d and failed %d requests", tr.Name, tr.Shed, tr.Failed)
+		}
+	}
+	if rehomed == 0 {
+		t.Errorf("no tenant rehomed off the crashed node:\n%s", res.Report())
 	}
 }
 
@@ -282,18 +472,18 @@ func TestCheckShardLayout(t *testing.T) {
 		shards, partitions, nodes int
 		wantErr                   bool
 	}{
-		{0, 2, 0, false},  // classic plane: no constraint
-		{1, 3, 0, false},  // still classic
-		{2, 2, 0, false},  // even split
-		{4, 8, 0, false},  // even split
-		{4, 2, 0, true},   // partitions do not divide over shards
-		{3, 8, 0, true},   // 8 % 3 != 0
-		{8, 8, 2, false},  // cluster, even everywhere
-		{4, 8, 2, false},  // 2 shards + 4 partitions per node
-		{4, 8, 3, true},   // shards do not divide over nodes
-		{8, 10, 2, true},  // partitions divide over nodes but not shards
-		{2, 6, 4, true},   // partitions do not divide over nodes
-		{0, 8, 2, true},   // cluster requires the sharded plane
+		{0, 2, 0, false}, // classic plane: no constraint
+		{1, 3, 0, false}, // still classic
+		{2, 2, 0, false}, // even split
+		{4, 8, 0, false}, // even split
+		{4, 2, 0, true},  // partitions do not divide over shards
+		{3, 8, 0, true},  // 8 % 3 != 0
+		{8, 8, 2, false}, // cluster, even everywhere
+		{4, 8, 2, false}, // 2 shards + 4 partitions per node
+		{4, 8, 3, true},  // shards do not divide over nodes
+		{8, 10, 2, true}, // partitions divide over nodes but not shards
+		{2, 6, 4, true},  // partitions do not divide over nodes
+		{0, 8, 2, true},  // cluster requires the sharded plane
 	} {
 		err := serve.CheckShardLayout(tc.shards, tc.partitions, tc.nodes)
 		if (err != nil) != tc.wantErr {

@@ -295,6 +295,12 @@ func (srv *Server) elMigrate(p *sim.Proc, m Migration) bool {
 	el.event(now, label+": quiesce")
 	for _, t := range srv.tenants {
 		t.reps[src].draining = true
+		if srv.cl != nil && t.reps[src].life == repLive {
+			// The snapshot restores into the tenant's destination enclave:
+			// open the destination node for it if it is still cold. The
+			// open runs concurrently with the checkpoint.
+			srv.clMaterialise(t, m.To.Node)
+		}
 	}
 	if m.Race {
 		srv.elDrainRace(now, m, src)

@@ -31,6 +31,7 @@ type replica struct {
 	inCap    int
 	smDemand uint64
 
+	life   repLife
 	conn   *core.CUDAConn
 	outPtr uint64
 	inPtr  uint64
@@ -60,6 +61,22 @@ type replica struct {
 	lanePort  *sim.Port[*batch]
 }
 
+// repLife is a replica's materialisation lifecycle (DESIGN.md §14). Every
+// replica of a single-node plane, and of a tenant's home node in a cluster,
+// is live from boot. A cluster opens nothing on the other nodes: their
+// replicas start cold and go cold → connecting → live when the tenant first
+// needs the node (clMaterialise).
+type repLife uint8
+
+const (
+	// repLive: the replica's CUDA mEnclave is open (the zero value).
+	repLive repLife = iota
+	// repCold: a struct only — no session on its node, no enclave.
+	repCold
+	// repConnecting: a materialisation proc is opening its enclave.
+	repConnecting
+)
+
 // plat returns the platform of the replica's owning node. Partition and SPM
 // lookups must go through it: partIdx is node-local, and every node has its
 // own SPM and "gpu-part%d" namespace.
@@ -81,12 +98,16 @@ func (rep *replica) retired() bool {
 }
 
 // unplaceable reports whether the placement policy must skip the replica:
-// retired, mid-failover, or quiescing for a planned migration.
+// retired, mid-failover, quiescing for a planned migration, or not yet
+// materialised.
 func (rep *replica) unplaceable() bool {
-	return rep.down || rep.quarantined || rep.draining || rep.released
+	return rep.down || rep.quarantined || rep.draining || rep.released || rep.life != repLive
 }
 
-func newReplica(p *sim.Proc, srv *Server, t *tenant, node, pi int, smDemand uint64) (*replica, error) {
+// replicaImage returns the cubin every replica of the tenant loads (the
+// serve kernel plus each rodinia class's kernels) and the staging-buffer
+// size a full batch of its largest inference input needs.
+func (t *tenant) replicaImage(maxBatch int) (cubin []byte, inCap int) {
 	kernels := []string{serveKernel}
 	seen := map[string]bool{serveKernel: true}
 	maxIn := 4
@@ -104,19 +125,29 @@ func newReplica(p *sim.Proc, srv *Server, t *tenant, node, pi int, smDemand uint
 			maxIn = cl.inBytes
 		}
 	}
+	return gpu.BuildCubin(kernels...), maxIn * maxBatch
+}
+
+// newReplica builds the tenant's replica on (node, pi). It connects at once
+// unless the node is not the tenant's cluster home, where it stays cold.
+func newReplica(p *sim.Proc, srv *Server, t *tenant, node, pi int, cubin []byte, inCap int, smDemand uint64) (*replica, error) {
 	rep := &replica{
 		srv:      srv,
 		t:        t,
 		node:     node,
 		partIdx:  pi,
 		partName: fmt.Sprintf("gpu-part%d", pi),
-		cubin:    gpu.BuildCubin(kernels...),
-		inCap:    maxIn * srv.cfg.MaxBatch,
+		cubin:    cubin,
+		inCap:    inCap,
 		smDemand: smDemand,
 		cond:     sim.NewCond(srv.pl.K),
 	}
 	if srv.sh != nil {
 		srv.shInitReplica(rep)
+	}
+	if srv.cl != nil && node != t.home {
+		rep.life = repCold
+		return rep, nil
 	}
 	if err := rep.connect(p); err != nil {
 		return nil, err

@@ -184,8 +184,8 @@ func (srv *Server) pick(t *tenant) *replica {
 		if rep.retired() || rep.draining {
 			return pickLeastOutstanding(reps)
 		}
-		if rep.down {
-			return nil
+		if rep.unplaceable() {
+			return nil // mid-failover or still materialising: wait for it
 		}
 		return rep
 	case RoundRobin:

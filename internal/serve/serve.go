@@ -398,7 +398,6 @@ type tenant struct {
 	spec    TenantSpec
 	idx     int
 	classes []*workClass
-	sess    *core.Session
 	q       *queue
 	reps    []*replica
 	rrNext  int
@@ -430,10 +429,12 @@ type tenant struct {
 	shBacklog []*batch
 	shKept    []*Request
 
-	// Cluster-mode state (cluster.go; zero on single-node runs): one
-	// session per node, the current and initial home node, whether a
-	// failover re-hashed the tenant, and the gateway's no-split-brain
-	// ledger (liveCnt requests in flight, all on liveNode).
+	// sessions holds the tenant's session (CPU mEnclave) per node, nil
+	// until the node is materialised (cluster.go: only the home node opens
+	// eagerly). Cluster-mode state (zero on single-node runs): the current
+	// and initial home node, whether a failover re-hashed the tenant, and
+	// the gateway's no-split-brain ledger (liveCnt requests in flight, all
+	// on liveNode).
 	sessions []*core.Session
 	home     int
 	home0    int
@@ -522,8 +523,10 @@ func New(p *sim.Proc, pl *core.Platform, cfg Config) (*Server, error) {
 
 // NewCluster boots a serving plane spanning the given node platforms (one
 // element = the single-node plane New wraps). In cluster mode every tenant
-// gets a session and a replica set on every node, a home node from the
-// placement ring, and the gateway's fabric machinery is armed.
+// gets a home node from the placement ring and a session and replica set
+// opened there; its replicas on every other node stay cold until a rehome
+// or migration needs them (DESIGN.md §14.6). The gateway's fabric
+// machinery is armed.
 func NewCluster(p *sim.Proc, plats []*core.Platform, cfg Config) (*Server, error) {
 	cfg.defaults()
 	if len(plats) == 0 {
@@ -649,16 +652,24 @@ func NewCluster(p *sim.Proc, plats []*core.Platform, cfg Config) (*Server, error
 			}
 			t.classes = append(t.classes, cl)
 		}
-		// One session per node: the replica block on node n is owned by the
-		// tenant's session on that node's platform (t.sess aliases node 0).
-		for n := 0; n < len(plats); n++ {
+		if srv.cl != nil {
+			srv.clAssignHome(t)
+		}
+		// The replica block on node n is owned by the tenant's session on
+		// that node's platform. A cluster opens the home node's session only;
+		// every other node stays cold until the tenant first needs it
+		// (clMaterialise).
+		t.sessions = make([]*core.Session, len(plats))
+		for n := range plats {
+			if srv.cl != nil && n != t.home {
+				continue
+			}
 			sess, err := plats[n].NewSession(p, spec.Name)
 			if err != nil {
 				return nil, fmt.Errorf("serve: session for %s on node %d: %w", spec.Name, n, err)
 			}
-			t.sessions = append(t.sessions, sess)
+			t.sessions[n] = sess
 		}
-		t.sess = t.sessions[0]
 		t.q = newQueue(pl.K, spec.QueueCap,
 			reg.Gauge("serve.tenant."+spec.Name+".queue_depth"))
 		t.latHist = reg.Histogram("serve.tenant." + spec.Name + ".latency_ns")
@@ -669,12 +680,10 @@ func NewCluster(p *sim.Proc, plats []*core.Platform, cfg Config) (*Server, error
 			t.shAnchor = srv.shSpawnAnchor(0, lidTenantAnchor+uint64(ti),
 				"serve-anchor-"+spec.Name)
 		}
-		if srv.cl != nil {
-			srv.clAssignHome(t)
-		}
+		cubin, inCap := t.replicaImage(cfg.MaxBatch)
 		for n := 0; n < len(plats); n++ {
 			for pi := 0; pi < partsPerNode; pi++ {
-				rep, err := newReplica(p, srv, t, n, pi, smDemand)
+				rep, err := newReplica(p, srv, t, n, pi, cubin, inCap, smDemand)
 				if err != nil {
 					return nil, fmt.Errorf("serve: replica %s/n%d/gpu-part%d: %w", spec.Name, n, pi, err)
 				}
@@ -687,30 +696,24 @@ func NewCluster(p *sim.Proc, plats []*core.Platform, cfg Config) (*Server, error
 	// partition down the instant the proceed-trap fires, so the scheduler
 	// routes around it while its mOS restarts. Every node's SPM is its own
 	// failure domain, and partition names repeat across nodes ("gpu-part0"
-	// exists on each), so the subscription matches (node, partition) pairs.
+	// exists on each), so the subscription resolves the record to its
+	// (node, partition) slot and touches one replica per tenant.
+	partIdx := make(map[string]int, partsPerNode)
+	for pi := 0; pi < partsPerNode; pi++ {
+		partIdx[pl.GPUs[pi].Part.Name] = pi
+	}
 	cancels := make([]func(), 0, len(plats))
 	for n := range plats {
 		n := n
 		cancels = append(cancels, plats[n].SPM.OnFailure(func(rec *spm.FailureRecord) {
 			srv.failures = append(srv.failures, rec)
 			srv.failNodes = append(srv.failNodes, n)
+			pi, ok := partIdx[rec.Partition]
+			if !ok {
+				return // not a pooled partition
+			}
 			for _, t := range srv.tenants {
-				for _, rep := range t.reps {
-					if rep.node == n && rep.partName == rec.Partition {
-						rep.down = true
-						if rec.Quarantined {
-							// Crash-loop policy tripped: the scheduler must
-							// stop waiting on this partition, not route
-							// around a transient restart.
-							rep.quarantined = true
-						}
-						if srv.sh != nil {
-							srv.shReplicaDown(rep)
-						} else {
-							rep.cond.Broadcast() // wake an idle worker into failover
-						}
-					}
-				}
+				srv.replicaFailed(t.reps[n*partsPerNode+pi], rec.Quarantined)
 			}
 		}))
 	}
@@ -720,6 +723,29 @@ func NewCluster(p *sim.Proc, plats []*core.Platform, cfg Config) (*Server, error
 		}
 	}
 	return srv, nil
+}
+
+// replicaFailed applies one SPM failure record to one replica. A
+// quarantine (crash-loop policy tripped) means the scheduler must stop
+// waiting on the partition, not route around a transient restart. A cold
+// replica only records the quarantine: nothing is connected, so there is no
+// failover to run, and materialisation waits out any restart itself. A
+// replica mid-materialisation is marked down, and its opening proc hands it
+// to the recovery path once the open returns.
+func (srv *Server) replicaFailed(rep *replica, quarantined bool) {
+	if quarantined {
+		rep.quarantined = true
+	}
+	if rep.life == repCold {
+		return
+	}
+	rep.down = true
+	switch {
+	case srv.sh == nil:
+		rep.cond.Broadcast() // wake an idle worker into failover
+	case rep.life == repLive:
+		srv.shReplicaDown(rep)
+	}
 }
 
 // Registry exposes the run's private metrics registry.
